@@ -4,12 +4,15 @@ These are conventional pytest-benchmark timings (many rounds) — they guard
 the constant factors the figure experiments stand on.
 """
 
+import itertools
+
 import pytest
 
 from repro.dataguide import DataGuide
 from repro.deadlock import WaitForGraph
 from repro.locking import XDGL_MATRIX, LockMode, LockTable
-from repro.update import InsertOp, apply_update
+from repro.storage import InMemoryStore
+from repro.update import ChangeOp, InsertOp, apply_update
 from repro.workload import generate_xmark
 from repro.xml import parse_document, serialize_document
 from repro.xpath import evaluate
@@ -34,8 +37,28 @@ def test_bench_parse_document(benchmark, xmark_text):
 
 
 def test_bench_serialize_document(benchmark, xmark_doc):
-    text = benchmark(serialize_document, xmark_doc)
-    assert text.startswith("<site>")
+    # Cold: each round serializes a fresh clone, which carries no memos.
+    text = benchmark.pedantic(
+        serialize_document, setup=lambda: ((xmark_doc.clone(),), {}), rounds=30
+    )
+    assert text == serialize_document(xmark_doc.clone())
+
+
+def test_bench_persist_after_leaf_change(benchmark, xmark_doc):
+    # The steady state of a commit: one leaf changed, then the fragment
+    # persisted. Only the root-to-leaf path is rendered again.
+    doc = xmark_doc.clone()
+    store = InMemoryStore()
+    store.store(doc)
+    values = itertools.count()
+
+    def change_and_store():
+        apply_update(ChangeOp("/site/people/person[1]/name", f"n{next(values)}"), doc)
+        return store.store(doc)
+
+    size = benchmark(change_and_store)
+    assert size == len(store.raw(doc.name).encode("utf-8"))
+    assert store.raw(doc.name) == serialize_document(doc.clone())
 
 
 def test_bench_xpath_child_steps(benchmark, xmark_doc):

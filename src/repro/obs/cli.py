@@ -38,7 +38,7 @@ def run_traced_workload(
     tx_per_client: int = 5,
     ops_per_tx: int = 5,
     update_ratio: float = 0.5,
-    wake_policy: str = "broadcast",
+    wake_policy: str = "targeted",
     replication_factor: int = 1,
     label: str = "",
     system: Optional[SystemConfig] = None,
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fraction of update transactions (contention driver)",
     )
     parser.add_argument(
-        "--wake-policy", choices=["broadcast", "targeted"], default="broadcast"
+        "--wake-policy", choices=["broadcast", "targeted"], default="targeted"
     )
     parser.add_argument(
         "--replication-factor",

@@ -3,7 +3,9 @@
 Documents are kept *serialized* (as Sedna keeps them paged on disk), so every
 load really parses and every persist really serializes; the DataManager
 charges simulated time proportional to the byte counts this backend reports.
-Write statistics are tracked per document for the experiment reports.
+Write statistics are tracked per document for the experiment reports. Each
+document's UTF-8 byte size is kept beside its text, so reporting it never
+re-encodes the document.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ class StoreStats:
 
 class InMemoryStore(StorageBackend):
     def __init__(self) -> None:
-        self._data: dict[str, str] = {}
+        self._data: dict[str, tuple[str, int]] = {}  # name -> (text, UTF-8 bytes)
         self.stats = StoreStats()
 
     def store(self, doc: Document) -> int:
         text = serialize_document(doc)
-        self._data[doc.name] = text
-        size = len(text.encode("utf-8"))
+        size = len(text) if text.isascii() else len(text.encode("utf-8"))
+        self._data[doc.name] = (text, size)
         self.stats.stores += 1
         self.stats.bytes_written += size
         self.stats.per_document_stores[doc.name] = (
@@ -44,11 +46,11 @@ class InMemoryStore(StorageBackend):
 
     def load(self, name: str) -> Document:
         try:
-            text = self._data[name]
+            text, size = self._data[name]
         except KeyError:
             raise StorageError(f"document {name!r} not in store") from None
         self.stats.loads += 1
-        self.stats.bytes_read += len(text.encode("utf-8"))
+        self.stats.bytes_read += size
         return parse_document(text, name=name)
 
     def exists(self, name: str) -> bool:
@@ -64,13 +66,13 @@ class InMemoryStore(StorageBackend):
 
     def size_bytes(self, name: str) -> int:
         try:
-            return len(self._data[name].encode("utf-8"))
+            return self._data[name][1]
         except KeyError:
             raise StorageError(f"document {name!r} not in store") from None
 
     def raw(self, name: str) -> str:
         """Serialized text as stored (tests compare persisted states)."""
         try:
-            return self._data[name]
+            return self._data[name][0]
         except KeyError:
             raise StorageError(f"document {name!r} not in store") from None

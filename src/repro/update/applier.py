@@ -131,7 +131,7 @@ def _apply_rename(
     for target in targets:
         old_paths = _subtree_paths(target)
         old_name = target.tag
-        target.tag = op.new_name
+        target.rename(op.new_name)
         if undo is not None:
             undo.record(doc, RenameUndo(target, old_name))
         changes.append(
@@ -152,7 +152,7 @@ def _apply_change(
     changes: list[AppliedChange] = []
     for target in targets:
         old = target.text
-        target.text = op.new_value
+        target.set_text(op.new_value)
         if undo is not None:
             undo.record(doc, ChangeUndo(target, old))
         changes.append(AppliedChange(kind="change", node=target))

@@ -49,7 +49,7 @@ class RenameUndo:
     old_name: str
 
     def rollback(self, doc: Document) -> None:
-        self.node.tag = self.old_name
+        self.node.rename(self.old_name)
 
 
 @dataclass
@@ -60,7 +60,7 @@ class ChangeUndo:
     old_value: Union[str, None]
 
     def rollback(self, doc: Document) -> None:
-        self.node.text = self.old_value
+        self.node.set_text(self.old_value)
 
 
 @dataclass

@@ -14,6 +14,13 @@ needs:
 Mixed content is simplified: an element carries a single optional ``text``
 payload plus element children, which covers the XMark-style data-management
 workloads of the paper.
+
+An interior element also memoizes its compact serialized text (``_xml``,
+filled by :mod:`repro.xml.serializer`). The model owns that memo: after
+construction a tree changes only through :meth:`Element.insert`,
+:meth:`Element.remove`, :meth:`Element.set_text` and :meth:`Element.rename`,
+each of which clears the memo on the changed node and its ancestors.
+``attrib`` is fixed once the element is built.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ Scalar = Union[str, float]
 class Element:
     """A single XML element: tag, attributes, optional text, children."""
 
-    __slots__ = ("tag", "attrib", "text", "_children", "parent", "node_id", "document")
+    __slots__ = ("tag", "attrib", "text", "_children", "parent", "node_id", "document", "_xml")
 
     def __init__(self, tag: str, attrib: Optional[dict] = None, text: Optional[str] = None):
         if not tag or not _is_name(tag):
@@ -41,6 +48,7 @@ class Element:
         self.parent: Optional[Element] = None
         self.node_id: int = -1  # assigned when attached to a Document
         self.document: Optional["Document"] = None
+        self._xml: Optional[str] = None  # compact serialization memo (interior only)
 
     # -- structure -----------------------------------------------------
 
@@ -79,6 +87,7 @@ class Element:
         index = max(0, min(index, len(self._children)))
         self._children.insert(index, child)
         child.parent = self
+        self._invalidate()
         if self.document is not None:
             self.document._register_subtree(child)
         return child
@@ -88,6 +97,7 @@ class Element:
         idx = self.child_index(child)
         self._children.pop(idx)
         child.parent = None
+        self._invalidate()
         if self.document is not None:
             self.document._unregister_subtree(child)
         return child
@@ -97,6 +107,31 @@ class Element:
         if self.parent is not None:
             self.parent.remove(self)
         return self
+
+    def set_text(self, text: Optional[str]) -> None:
+        """Replace this element's text payload."""
+        self.text = text
+        self._invalidate()
+
+    def rename(self, tag: str) -> None:
+        """Replace this element's tag."""
+        if not _is_name(tag):
+            raise XMLModelError(f"invalid element tag: {tag!r}")
+        self.tag = tag
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Clear the serialization memo of this node and its ancestors.
+
+        The serializer fills a memo only once every interior node below it
+        has one, and clearing always runs upward, so a node without a memo
+        has no memoized ancestor and the walk can stop there.
+        """
+        self._xml = None
+        cur = self.parent
+        while cur is not None and cur._xml is not None:
+            cur._xml = None
+            cur = cur.parent
 
     def _has_ancestor(self, node: "Element") -> bool:
         cur = self.parent

@@ -14,21 +14,38 @@ def _escape_attr(s: str) -> str:
 
 
 def _serialize_compact(root: Element) -> str:
-    """Compact serialization with an explicit stack.
+    """Compact serialization with an explicit stack, memoized per element.
 
-    This is the state-digest hot path (every probe digests serialized
-    documents), so it avoids both recursion and the per-node tuple copy the
-    public ``children`` property makes. Items on the stack are either
-    elements still to open or close-tag strings already rendered.
+    Every commit persists its fragment through here, so it avoids recursion
+    and the per-node tuple copy of the public ``children`` property, and it
+    reuses the ``_xml`` memo of each interior element whose subtree has not
+    changed since it was last serialized: after a one-leaf update only the
+    root-to-leaf path is rendered again. Leaves are not memoized; they are
+    cheap to render and memoizing them would cost memory for every node.
+
+    Items on the stack are elements still to open or ``(element, start)``
+    pairs marking where that open element's output begins in ``out``. On
+    closing, the element's parts are joined into its memo and collapse into
+    a single part, so its parent's join reuses it.
     """
     out: list[str] = []
     append = out.append
     stack: list = [root]
+    push = stack.append
     pop = stack.pop
     while stack:
         node = pop()
-        if node.__class__ is str:
-            append(node)
+        if node.__class__ is tuple:
+            node, start = node
+            append(f"</{node.tag}>")
+            xml = "".join(out[start:])
+            del out[start:]
+            append(xml)
+            node._xml = xml
+            continue
+        xml = node._xml
+        if xml is not None:
+            append(xml)
             continue
         attrib = node.attrib
         if attrib:
@@ -37,15 +54,18 @@ def _serialize_compact(root: Element) -> str:
             attrs = ""
         children = node._children
         text = node.text
-        if not children and text is None:
-            append(f"<{node.tag}{attrs}/>")
+        if not children:
+            if text is None:
+                append(f"<{node.tag}{attrs}/>")
+            else:
+                append(f"<{node.tag}{attrs}>{_escape_text(text)}</{node.tag}>")
             continue
+        push((node, len(out)))
         append(f"<{node.tag}{attrs}>")
         if text is not None:
             append(_escape_text(text))
-        stack.append(f"</{node.tag}>")
         for i in range(len(children) - 1, -1, -1):
-            stack.append(children[i])
+            push(children[i])
     return "".join(out)
 
 

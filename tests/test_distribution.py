@@ -136,7 +136,7 @@ class TestAllocation:
         alloc = allocate_total([make_people_doc()], ["s1", "s2"])
         c1 = alloc.documents_for("s1")[0]
         c2 = alloc.documents_for("s2")[0]
-        c1.root.children[0].child("name").text = "Mutated"
+        c1.root.children[0].child("name").set_text("Mutated")
         assert c2.root.children[0].child("name").text == "Carlos"
 
     def test_partial_replication_spreads_fragments(self):

@@ -8,7 +8,7 @@ from repro.core.messages import ReplicaSyncRequest
 from repro.distribution import UpdateLog, UpdateLogEntry
 from repro.errors import ConfigError, DistributionError
 from repro.sim.queues import Store
-from repro.update import InsertOp
+from repro.update import ChangeOp, InsertOp, TransposeOp
 from repro.verify import final_state_serializable
 from repro.xml import serialize_document
 
@@ -181,6 +181,37 @@ class TestCrashBasics:
         text = doc_at(cluster, "s1")
         assert "dirty" not in text
         assert "<id>9</id>" in text
+
+    def test_persisted_text_is_the_committed_state(self):
+        # The primary persists from its stable copy, the secondaries from
+        # their live trees; an aborted change is undone on the primary's
+        # live tree only. At every replica the stored text must be a fresh
+        # serialization of the committed state, and recovery reloads it.
+        cluster = ft_cluster()
+
+        def change(name, then_fail=False):
+            ops = [Operation.update("d1", ChangeOp("/people/person[id=1]/name", name))]
+            if then_fail:  # transposing a node into itself aborts the tx
+                ops.append(Operation.update("d1", TransposeOp("/people", "/people/person")))
+            return Transaction(ops, label=name)
+
+        cluster.add_client("c1", "s1", [
+            change("Ana"), change("Bia", then_fail=True), insert_tx(9), change("Eva"),
+        ])
+        res = cluster.run()
+        assert [r.label for r in res.committed] == ["Ana", "w9", "Eva"]
+        assert [r.label for r in res.aborted] == ["Bia"]
+        assert "d1" in cluster.site("s1")._stable
+        for sid in ("s1", "s2", "s3"):
+            site = cluster.site(sid)
+            text = site.data_manager.backend.raw("d1")
+            assert text == serialize_document(cluster.document_at(sid, "d1").clone())
+            assert text == doc_at(cluster, sid)
+            assert "<name>Eva</name>" in text and "<id>9</id>" in text
+            assert "Bia" not in text
+            site.crash()
+            site.recover()
+            assert doc_at(cluster, sid) == text
 
     def test_submit_to_down_site_fails_fast(self):
         cluster = ft_cluster()

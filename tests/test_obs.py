@@ -1,6 +1,7 @@
 """Observability stack: tracer, span-forest checks, metrics registry,
 critical-path analyzer, Chrome-trace export, and the ``trace`` CLI."""
 
+import inspect
 import io
 import json
 
@@ -26,7 +27,7 @@ from repro.obs import (
     transaction_trees,
     tx_breakdown,
 )
-from repro.obs.cli import run_traced_workload, trace_main
+from repro.obs.cli import _build_parser, run_traced_workload, trace_main
 from repro.workload import DTXTester, WorkloadSpec
 from repro.obs.critical_path import PHASES
 
@@ -431,6 +432,12 @@ class TestTraceCLI:
         result, spans = run_traced_workload(sites=2, clients=2, tx_per_client=2)
         assert spans and spans is result.spans
         assert span_forest_errors(spans) == []
+
+    def test_wake_policy_default_matches_system_config(self):
+        default = SystemConfig().wake_policy
+        signature = inspect.signature(run_traced_workload)
+        assert signature.parameters["wake_policy"].default == default
+        assert _build_parser().parse_args([]).wake_policy == default
 
     def test_trace_main_smoke_and_diff(self, tmp_path):
         out_a = tmp_path / "a.json"

@@ -42,6 +42,15 @@ class TestInMemoryStore:
         with pytest.raises(StorageError):
             store.size_bytes("ghost")
 
+    def test_sizes_count_utf8_bytes(self):
+        store = InMemoryStore()
+        d = doc("a", E("r", E("n", text="São João")))
+        size = store.store(d)
+        assert size == len(store.raw("a").encode("utf-8")) == len(store.raw("a")) + 2
+        assert store.size_bytes("a") == size
+        store.load("a")
+        assert store.stats.bytes_read == size
+
     def test_stats(self):
         store = InMemoryStore()
         d = make_people_doc()
@@ -58,7 +67,7 @@ class TestInMemoryStore:
         store.store(make_people_doc())
         c1 = store.load("d1")
         c2 = store.load("d1")
-        c1.root.children[0].child("name").text = "Mutated"
+        c1.root.children[0].child("name").set_text("Mutated")
         assert c2.root.children[0].child("name").text == "Carlos"
 
 

@@ -202,7 +202,7 @@ class TestClone:
         assert c.root is not d.root
         assert c.root.children[0].text == "x"
         assert c.root.children[0].attrib == {"k": "v"}
-        c.root.children[0].text = "changed"
+        c.root.children[0].set_text("changed")
         assert d.root.children[0].text == "x"
 
     def test_clone_rename(self):
