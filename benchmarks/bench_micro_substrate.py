@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from repro import TxId
 from repro.dataguide import DataGuide
 from repro.deadlock import WaitForGraph
 from repro.locking import XDGL_MATRIX, LockMode, LockTable
@@ -115,3 +116,31 @@ def test_bench_wfg_cycle_detection(benchmark):
 
     cycle = benchmark(g.find_any_cycle)
     assert cycle is not None and len(cycle) == n
+
+
+def test_bench_wfg_churn(benchmark):
+    # The contended lock path: a transaction blocks behind two holders while
+    # two others queue behind it, is granted its locks, then finishes. With
+    # ~200 transactions already waiting, each step should cost O(degree).
+    holders = [TxId("s1", i, float(i)) for i in range(16)]
+    waiters = [TxId("s2", j, 100.0 + j) for j in range(200)]
+    g = WaitForGraph()
+    for j, w in enumerate(waiters):
+        g.add_edge(w, holders[j % 16])
+        g.add_edge(w, holders[(j + 1) % 16])
+    start = set(g.edges())
+    tx = TxId("s3", 0, 1000.0)
+
+    def churn():
+        for h in holders[:2]:
+            g.add_edge(tx, h)
+        for w in waiters[:2]:
+            g.add_edge(w, tx)
+        cycle = g.find_cycle_from(tx)
+        g.clear_waits(tx)
+        g.remove_node(tx)
+        return cycle
+
+    assert benchmark(churn) is None
+    assert set(g.edges()) == start
+    g.check_consistency()

@@ -12,7 +12,7 @@ is literally ``max(cycle)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import total_ordering
 from typing import Any, Hashable, Optional, Union
@@ -23,19 +23,50 @@ from ..xpath.parser import parse_xpath
 
 
 @total_ordering
-@dataclass(frozen=True)
 class TxId:
-    """Globally unique transaction id, ordered by start time."""
+    """Globally unique transaction id, ordered by start time.
 
-    site: Hashable
-    seq: int
-    start_ts: float
+    Immutable, with the value semantics of a frozen dataclass over
+    ``(site, seq, start_ts)``: the same ``repr``, equality and hash. Every
+    lock-table, wait-for-graph and site lookup hashes an id, so the hash and
+    the sort key ``(start_ts, str(site), seq)`` are computed once, here.
+    """
 
-    def _key(self) -> tuple:
-        return (self.start_ts, str(self.site), self.seq)
+    __slots__ = ("site", "seq", "start_ts", "_fields", "_hash", "_key")
+    __match_args__ = ("site", "seq", "start_ts")
+
+    def __init__(self, site: Hashable, seq: int, start_ts: float) -> None:
+        fields = (site, seq, start_ts)
+        init = object.__setattr__
+        init(self, "site", site)
+        init(self, "seq", seq)
+        init(self, "start_ts", start_ts)
+        init(self, "_fields", fields)
+        init(self, "_hash", hash(fields))
+        init(self, "_key", (start_ts, str(site), seq))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (TxId, self._fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TxId:
+            return NotImplemented
+        return self._fields == other._fields
 
     def __lt__(self, other: "TxId") -> bool:
-        return self._key() < other._key()
+        return self._key < other._key
+
+    def __repr__(self) -> str:
+        return f"TxId(site={self.site!r}, seq={self.seq!r}, start_ts={self.start_ts!r})"
 
     def __str__(self) -> str:
         return f"t{self.seq}@{self.site}"

@@ -8,44 +8,85 @@ detector unions all sites' graphs and looks for a cycle (Algorithm 4).
 Nodes may be any hashable, ordered values — DTX uses transaction ids ordered
 by start timestamp, so ``max(cycle)`` is the *most recent* transaction, the
 paper's victim rule.
+
+The graph keeps an in-edge index beside the out-edges, so ``add_edge`` is
+O(1) and ``clear_waits`` and ``remove_node`` cost O(degree) of the node
+they touch, not O(graph). A node is kept only while it has an edge: when
+its last in- or out-edge goes, so does the node, and ``nodes()`` never
+reports an isolated transaction. ``find_cycle_from`` is O(V + E) over the
+part of the graph its start reaches; ``find_any_cycle`` is O(V + E) plus
+sorting by ``repr``, which keeps victim selection deterministic.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
+from ..errors import ReproError
+
 
 class WaitForGraph:
     def __init__(self) -> None:
+        # Both maps hold exactly the nodes that have at least one edge.
         self._out: dict[Hashable, set[Hashable]] = {}
+        self._in: dict[Hashable, set[Hashable]] = {}
 
     # -- mutation -----------------------------------------------------------
 
     def add_edge(self, waiter: Hashable, holder: Hashable) -> None:
         if waiter == holder:
             return  # a transaction never waits for itself
-        self._out.setdefault(waiter, set()).add(holder)
-        self._out.setdefault(holder, set())
+        holders = self._out.get(waiter)
+        if holders is None:
+            holders = self._out[waiter] = set()
+            self._in[waiter] = set()
+        holders.add(holder)
+        waiters = self._in.get(holder)
+        if waiters is None:
+            waiters = self._in[holder] = set()
+            self._out[holder] = set()
+        waiters.add(waiter)
 
     def clear_waits(self, waiter: Hashable) -> None:
         """Drop ``waiter``'s outgoing edges (it acquired its locks)."""
-        if waiter in self._out:
-            self._out[waiter] = set()
-            self._gc(waiter)
+        holders = self._out.get(waiter)
+        if not holders:
+            return
+        self._out[waiter] = set()
+        for holder in holders:
+            self._in[holder].discard(waiter)
+            self._drop_if_isolated(holder)
+        self._drop_if_isolated(waiter)
 
     def remove_node(self, node: Hashable) -> None:
         """Forget a finished transaction entirely (in- and out-edges)."""
-        self._out.pop(node, None)
-        for src in list(self._out):
-            self._out[src].discard(node)
-            self._gc(src)
+        holders = self._out.pop(node, None)
+        if holders is None:
+            return
+        waiters = self._in.pop(node)
+        for holder in holders:
+            self._in[holder].discard(node)
+            self._drop_if_isolated(holder)
+        for waiter in waiters:
+            self._out[waiter].discard(node)
+            self._drop_if_isolated(waiter)
 
-    def _gc(self, node: Hashable) -> None:
-        if node in self._out and not self._out[node] and not self._has_incoming(node):
+    def _drop_if_isolated(self, node: Hashable) -> None:
+        if not self._out[node] and not self._in[node]:
             del self._out[node]
+            del self._in[node]
 
-    def _has_incoming(self, node: Hashable) -> bool:
-        return any(node in dsts for src, dsts in self._out.items() if src != node)
+    def check_consistency(self) -> None:
+        """Assert the in-index mirrors the out-edges (used by tests)."""
+        forward = {(a, b) for a, dsts in self._out.items() for b in dsts}
+        backward = {(a, b) for b, srcs in self._in.items() for a in srcs}
+        if forward != backward:
+            raise ReproError("wait-for graph in-edge index diverged")
+        if self._out.keys() != self._in.keys():
+            raise ReproError("wait-for graph node sets diverged")
+        isolated = [n for n in self._out if not self._out[n] and not self._in[n]]
+        if isolated:
+            raise ReproError(f"wait-for graph keeps edgeless nodes: {isolated!r}")
 
     # -- inspection -----------------------------------------------------------
 
@@ -56,10 +97,7 @@ class WaitForGraph:
         return frozenset(self._out.get(node, ()))
 
     def nodes(self) -> set:
-        out = set(self._out)
-        for dsts in self._out.values():
-            out |= dsts
-        return out
+        return set(self._out)
 
     @property
     def edge_count(self) -> int:
@@ -83,9 +121,13 @@ class WaitForGraph:
 
         def dfs(node) -> Optional[list]:
             for nxt in self._out.get(node, ()):
-                if nxt == start:
-                    return list(path)
-                if nxt in on_path or nxt in visited:
+                # ``start`` is on the path, so this set lookup (hash and
+                # identity) spares an ``==`` call on most edges.
+                if nxt in on_path:
+                    if nxt == start:
+                        return list(path)
+                    continue
+                if nxt in visited:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)

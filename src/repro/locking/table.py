@@ -60,10 +60,11 @@ class LockTable:
         if holders:
             bad = self._conflicts_with[mode]
             conflicts = {
-                other
-                for other, modes in holders.items()
-                if other != tx and not bad.isdisjoint(modes)
+                other for other, modes in holders.items() if not bad.isdisjoint(modes)
             }
+            # Set discard finds ``tx`` by hash and identity: no per-holder
+            # ``!=``, which costs a Python-level call for transaction ids.
+            conflicts.discard(tx)
             if conflicts:
                 return conflicts, False
         by_tx = self._by_tx

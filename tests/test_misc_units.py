@@ -1,7 +1,9 @@
 """Unit tests for configuration, results aggregation, messages, client
 behaviour, detector wiring and the CLI."""
 
+import copy
 import io
+import pickle
 
 import pytest
 
@@ -73,6 +75,61 @@ class TestTxId:
 
     def test_str(self):
         assert str(TxId("s1", 3, 1.0)) == "t3@s1"
+
+    def test_hash_matches_field_tuple(self):
+        # Set and dict iteration orders depend on it.
+        for args in [("s1", 3, 1.0), ("s2", 0, 0.0), (7, 12, 3.5)]:
+            assert hash(TxId(*args)) == hash(args)
+
+    def test_repr(self):
+        assert repr(TxId("s1", 3, 1.0)) == "TxId(site='s1', seq=3, start_ts=1.0)"
+        assert repr(TxId(site="s1", seq=3, start_ts=1.0)) == repr(TxId("s1", 3, 1.0))
+
+    def test_comparisons_follow_start_site_seq(self):
+        ids = [
+            TxId("s2", 1, 10.0),
+            TxId("s1", 2, 10.0),  # same start: the site breaks the tie
+            TxId("s1", 1, 10.0),  # same start and site: the seq does
+            TxId("s9", 9, 5.0),
+            TxId("s1", 1, 20.0),
+        ]
+        for a in ids:
+            for b in ids:
+                ka = (a.start_ts, str(a.site), a.seq)
+                kb = (b.start_ts, str(b.site), b.seq)
+                assert (a < b) == (ka < kb)
+                assert (a <= b) == (ka <= kb)
+                assert (a > b) == (ka > kb)
+                assert (a >= b) == (ka >= kb)
+        assert max(ids) is ids[4]
+        assert max(ids[:3]) is ids[0]
+        assert sorted(ids) == [ids[3], ids[2], ids[1], ids[0], ids[4]]
+
+    def test_equality_with_strings(self):
+        tid = TxId("s1", 1, 1.0)
+        assert tid == TxId("s1", 1, 1.0)
+        assert tid != TxId("s1", 1, 2.0)
+        assert (tid == "s1") is False
+        mixed = {tid, "s1", TxId("s1", 1, 1.0)}
+        assert mixed == {"s1", tid}
+        assert "s1" in mixed and TxId("s1", 1, 1.0) in mixed
+
+    def test_immutable(self):
+        tid = TxId("s1", 1, 1.0)
+        with pytest.raises(AttributeError):
+            tid.seq = 2
+        with pytest.raises(AttributeError):
+            tid.extra = 1
+        with pytest.raises(AttributeError):
+            del tid.site
+        assert tid.seq == 1
+
+    def test_copy_and_pickle_round_trip(self):
+        tid = TxId("s1", 3, 1.0)
+        for clone in (copy.copy(tid), copy.deepcopy(tid), pickle.loads(pickle.dumps(tid))):
+            assert clone == tid
+            assert hash(clone) == hash(tid)
+            assert repr(clone) == repr(tid)
 
 
 class TestTransactionModel:

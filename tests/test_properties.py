@@ -194,7 +194,89 @@ class TestLockMatrixProperties:
 # ---------------------------------------------------------------------------
 
 
+class _ScanWaitForGraph(WaitForGraph):
+    """The scan-based graph the in-edge index replaced: the model oracle.
+
+    Only the mutators differ; inspection and cycle search read ``_out`` as
+    before. Finding a node's waiters scans every edge, and ``clear_waits``
+    leaves the holders it stopped waiting for as isolated entries until a
+    later ``remove_node`` sweeps them.
+    """
+
+    def __init__(self) -> None:
+        self._out = {}
+
+    def add_edge(self, waiter, holder) -> None:
+        if waiter == holder:
+            return
+        self._out.setdefault(waiter, set()).add(holder)
+        self._out.setdefault(holder, set())
+
+    def clear_waits(self, waiter) -> None:
+        if waiter in self._out:
+            self._out[waiter] = set()
+            self._gc(waiter)
+
+    def remove_node(self, node) -> None:
+        self._out.pop(node, None)
+        for src in list(self._out):
+            self._out[src].discard(node)
+            self._gc(src)
+
+    def _gc(self, node) -> None:
+        if node in self._out and not self._out[node] and not self._has_incoming(node):
+            del self._out[node]
+
+    def _has_incoming(self, node) -> bool:
+        return any(node in dsts for src, dsts in self._out.items() if src != node)
+
+
+WFG_NODES = st.integers(0, 5)
+WFG_STEPS = st.one_of(
+    st.tuples(st.just("add_edge"), WFG_NODES, WFG_NODES),
+    st.tuples(st.just("clear_waits"), WFG_NODES),
+    st.tuples(st.just("remove_node"), WFG_NODES),
+)
+
+
+def _on_a_cycle(edges: set, start) -> bool:
+    """Whether ``start`` reaches itself (an independent reachability check)."""
+    frontier = [b for a, b in edges if a == start]
+    seen = set()
+    while frontier:
+        node = frontier.pop()
+        if node == start:
+            return True
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(b for a, b in edges if a == node)
+    return False
+
+
 class TestWfgProperties:
+    @given(st.lists(WFG_STEPS, max_size=40))
+    @settings(max_examples=example_budget(200))
+    def test_indexed_graph_matches_scan_model(self, steps):
+        g, model = WaitForGraph(), _ScanWaitForGraph()
+        for method, *args in steps:
+            getattr(g, method)(*args)
+            getattr(model, method)(*args)
+            g.check_consistency()
+            edges = set(model.edges())
+            assert set(g.edges()) == edges
+            assert g.edge_count == model.edge_count
+            assert g.nodes() == {n for edge in edges for n in edge}
+            cyclic = False
+            for n in range(6):
+                assert g.waits(n) == model.waits(n)
+                assert g.successors(n) == model.successors(n)
+                on_cycle = _on_a_cycle(edges, n)
+                assert (g.find_cycle_from(n) is not None) == on_cycle
+                assert (model.find_cycle_from(n) is not None) == on_cycle
+                cyclic |= on_cycle
+            assert (g.find_any_cycle() is not None) == cyclic
+            assert (model.find_any_cycle() is not None) == cyclic
+
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=25))
     @settings(max_examples=example_budget(100))
     def test_reported_cycle_is_a_real_cycle(self, edge_list):

@@ -29,6 +29,7 @@ class TestEdges:
         g.clear_waits("a")
         assert not g.waits("a")
         assert ("c", "a") in g.edges()  # incoming edges survive
+        g.check_consistency()
 
     def test_remove_node_drops_both_directions(self):
         g = WaitForGraph()
@@ -42,6 +43,34 @@ class TestEdges:
         g.add_edge("a", "b")
         assert g.successors("a") == frozenset({"b"})
         assert g.successors("zzz") == frozenset()
+
+
+class TestEdgelessNodes:
+    def test_clear_waits_drops_isolated_holder(self):
+        g = WaitForGraph()
+        g.add_edge("a", "b")
+        g.clear_waits("a")
+        assert g.nodes() == set()
+        g.check_consistency()
+
+    def test_remove_unknown_node_is_noop(self):
+        g = WaitForGraph()
+        g.add_edge("a", "b")
+        g.remove_node("zzz")
+        assert g.edges() == [("a", "b")]
+        assert g.nodes() == {"a", "b"}
+        g.check_consistency()
+
+    def test_remove_node_keeps_nodes_with_other_edges(self):
+        g = WaitForGraph()
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        g.add_edge("d", "b")
+        g.remove_node("c")
+        assert g.nodes() == {"a", "b", "d"}
+        g.remove_node("b")
+        assert g.nodes() == set()
+        g.check_consistency()
 
 
 class TestCycles:
